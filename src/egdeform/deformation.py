@@ -28,19 +28,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from egdeform.combinatorics import (
-    IndexSet,
-    MultiIndex,
-    SubsetMask,
-    count_multi_indices,
-    enumerate_subsets,
-)
+from egdeform.combinatorics import MultiIndex, SubsetMask, count_multi_indices
 from egdeform.distributions import DiagonalDistribution, NotComputableError
-from egdeform.wick import contraction_graphs
+from egdeform.wick import pairable
+# bound here only because perfbench/tracing.py wraps it in this module
+from egdeform.wick import contraction_graphs  # noqa: F401
 
 
 class BoundViolationError(ValueError):
@@ -145,18 +142,19 @@ class TheoryConfig:
             **kwargs,
         )
 
+    @cached_property
+    def _sd_table(self) -> dict[tuple[int, ...], Fraction]:
+        return dict(self.sd_bounds)
+
     def sd_bound(self, label: Sequence[int]) -> Fraction | None:
         """Scaling-degree bound for a label, or None when nothing determines one."""
         label = tuple(label)
-        table = dict(self.sd_bounds)
-        if label in table:
-            return table[label]
+        if label in self._sd_table:
+            return self._sd_table[label]
         if self.uniform_sd_bound is not None:
             return self.uniform_sd_bound
         residual = tuple(self.p - i for i in label)
-        if any(r < 0 for r in residual):
-            return None
-        if not contraction_graphs(residual):
+        if any(r < 0 for r in residual) or not pairable(residual):
             return None
         edges = sum(residual) // 2
         if self.d >= 3:
@@ -174,12 +172,17 @@ class TheoryConfig:
             bound = bound - self.d * (subset.size - 1)
         return max(math.floor(bound), -1)
 
+    @property
+    def min_points(self) -> int:
+        """Shortest admissible label length: 3 under the strict flag, else 2."""
+        return 3 if self.strict_min_points else 2
+
     def validate_key(self, key: CoordinateKey) -> None:
         n = len(key.label)
-        minimum = 3 if self.strict_min_points else 2
-        if n < minimum:
+        if n < self.min_points:
             raise BoundViolationError(
-                key, f"label {key.label} shorter than the configured minimum {minimum}"
+                key,
+                f"label {key.label} shorter than the configured minimum {self.min_points}",
             )
         if n > self.n_max:
             raise BoundViolationError(
@@ -204,7 +207,8 @@ def realized_labels(theory: TheoryConfig, level: int) -> tuple[tuple[int, ...], 
     """Labels at a filtration level whose contraction kernels are non-zero.
 
     Level n holds labels of length n + 1; entry i_j ranges over 0..p and the
-    contracted powers p - i_j must admit a self-loop-free pairing.
+    contracted powers p - J must admit a self-loop-free pairing: their total
+    is even and no entry exceeds half of it.
     """
     if level < 1:
         raise ValueError("filtration levels start at 1")
@@ -214,11 +218,7 @@ def realized_labels(theory: TheoryConfig, level: int) -> tuple[tuple[int, ...], 
     labels: list[tuple[int, ...]] = [()]
     for _ in range(n):
         labels = [lab + (i,) for lab in labels for i in range(theory.p + 1)]
-    return tuple(
-        lab
-        for lab in labels
-        if contraction_graphs(tuple(theory.p - i for i in lab))
-    )
+    return tuple(lab for lab in labels if pairable([theory.p - i for i in lab]))
 
 
 @dataclass(frozen=True)
@@ -407,14 +407,23 @@ def counterterm_dimension(
 def total_dimension_report(
     theory: TheoryConfig, up_to_level: int
 ) -> dict[int, int]:
-    """Counterterm counts per filtration level, realized labels only."""
+    """Counterterm counts per filtration level, realized labels only.
+
+    The derivative bound depends on the subset I through |I| alone, so each
+    label is counted on one subset per size and weighted by C(n, |I|). Levels
+    whose labels are shorter than the theory's minimum count zero.
+    """
     report: dict[int, int] = {}
     for level in range(1, up_to_level + 1):
         n = level + 1
         total = 0
-        for label in realized_labels(theory, level):
-            for subset in enumerate_subsets(IndexSet(n), min_size=2):
-                total += counterterm_dimension(label, subset, theory)
+        if n >= theory.min_points:
+            for label in realized_labels(theory, level):
+                for size in range(2, n + 1):
+                    subset = SubsetMask(n, (1 << size) - 1)
+                    total += math.comb(n, size) * counterterm_dimension(
+                        label, subset, theory
+                    )
         report[level] = total
     return report
 

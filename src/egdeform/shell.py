@@ -33,13 +33,15 @@ from egdeform.deformation import (
     BoundViolationError,
     DeformationPoint,
     TheoryConfig,
-    counterterm_dimension,
     embed,
     parse_point,
     realized_labels,
     serialize_point,
     shift,
+    total_dimension_report,
 )
+# bound here only because perfbench/tracing.py wraps it in this module
+from egdeform.deformation import counterterm_dimension  # noqa: F401
 from egdeform.distributions import (
     DiagonalDistribution,
     DiagonalTerm,
@@ -804,33 +806,14 @@ def cmd_verify(cfg: SessionConfig, args) -> int:
 
 def cmd_dims(cfg: SessionConfig, args) -> int:
     literal = cfg.theory()
-    corrected = TheoryConfig(
-        d=cfg.d,
-        p=cfg.p,
-        n_max=cfg.n_max,
-        sd_bounds=cfg.sd_bounds,
-        uniform_sd_bound=cfg.uniform_sd_bound,
-        bound_policy="codim-corrected",
-        strict_min_points=cfg.strict_min_points,
-    )
+    corrected = replace(literal, bound_policy="codim-corrected")
+    lit_totals = total_dimension_report(literal, cfg.n_max - 1)
+    cor_totals = total_dimension_report(corrected, cfg.n_max - 1)
     rows = []
     payload_levels = {}
     for level in range(1, cfg.n_max):
         labels = realized_labels(literal, level)
-        n = level + 1
-        subsets = [
-            SubsetMask(n, mask) for mask in range(1 << n) if bin(mask).count("1") >= 2
-        ]
-        lit_total = sum(
-            counterterm_dimension(lab, subset, literal)
-            for lab in labels
-            for subset in subsets
-        )
-        cor_total = sum(
-            counterterm_dimension(lab, subset, corrected)
-            for lab in labels
-            for subset in subsets
-        )
+        lit_total, cor_total = lit_totals[level], cor_totals[level]
         rows.append((level, len(labels), lit_total, cor_total))
         payload_levels[str(level)] = {
             "realized_labels": len(labels),

@@ -148,19 +148,32 @@ def _matching_count(degrees: Mapping[int, int], edges: EdgeMap) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+def pairable(residual_powers: Sequence[int]) -> bool:
+    """True iff some no-self-loop multigraph has this degree vector.
+
+    That holds exactly when the total is even and no entry exceeds half of it
+    (the empty and the all-zero vectors pair trivially), so this equals
+    ``bool(contraction_graphs(r))`` without building a multigraph.
+    """
+    total = sum(residual_powers)
+    return total % 2 == 0 and 2 * max(residual_powers, default=0) <= total
+
+
+@lru_cache(maxsize=1024)
 def contraction_graphs(residual_powers: tuple[int, ...]) -> tuple[ContractionGraph, ...]:
     """All no-self-loop multigraphs with the given degree vector, with multiplicities.
 
     Backtracks over point pairs in lexicographic order, so the output order is
     fixed. Odd totals yield the empty tuple; the all-zero vector yields the
-    single empty multigraph (matchings = 1, the empty product).
+    single empty multigraph (matchings = 1, the empty product). The memo is
+    bounded at 1024 vectors, more than the 780 degree vectors on one to four
+    points with entries 0..4 that wick tables up to those sizes draw from.
     """
     r = tuple(int(p) for p in residual_powers)
     if any(p < 0 for p in r):
         raise ValueError("residual powers must be non-negative")
     n = len(r)
-    if sum(r) % 2:
+    if not pairable(r):
         return ()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     # after pair index idx, vertex v can still gain degree only if it appears
@@ -252,7 +265,7 @@ def wick_expand(powers: Sequence[int], d: int) -> tuple[WickExpansionTerm, ...]:
     out: list[WickExpansionTerm] = []
     for lab in _sub_labels(k):
         contracted = tuple(kj - ij for kj, ij in zip(k, lab))
-        if sum(contracted) % 2 or not contraction_graphs(contracted):
+        if not pairable(contracted):
             continue
         coeff = _ONE
         for ij in lab:

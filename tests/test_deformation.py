@@ -114,6 +114,12 @@ def test_explicit_bounds_override_computed():
         d=4, p=4, n_max=3, sd_bounds={(0, 0): Fraction(1, 2)}
     )
     assert theory.sd_bound((0, 0)) == Fraction(1, 2)
+    assert theory.sd_bound([0, 0]) == Fraction(1, 2)
+    uniform = TheoryConfig.build(
+        d=4, p=4, n_max=3, sd_bounds={(4, 4): Fraction(3)}, uniform_sd_bound=Fraction(1)
+    )
+    assert uniform.sd_bound((4, 4)) == 3  # the table wins over the uniform bound
+    assert uniform.sd_bound((0, 0)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +321,53 @@ def test_dimension_report_frozen_example():
         d=1, p=2, n_max=2, uniform_sd_bound=Fraction(1)
     )
     assert total_dimension_report(theory, 1) == {1: 6}
+
+
+def _per_subset_report(theory: TheoryConfig, up_to_level: int) -> dict[int, int]:
+    """The dimension report summed over every subset, one count per subset."""
+    report = {}
+    for level in range(1, up_to_level + 1):
+        n = level + 1
+        report[level] = sum(
+            counterterm_dimension(label, SubsetMask(n, mask), theory)
+            for label in realized_labels(theory, level)
+            for mask in range(1 << n)
+            if bin(mask).count("1") >= 2
+        )
+    return report
+
+
+def test_dimension_report_weights_one_subset_per_size():
+    theories = [
+        TheoryConfig.build(d=d, p=p, n_max=n_max, bound_policy=policy)
+        for d in range(1, 5)
+        for p in range(0, 5)
+        for n_max in range(2, 5)
+        for policy in ("paper-literal", "codim-corrected")
+    ]
+    theories.append(
+        TheoryConfig.build(
+            d=3, p=3, n_max=4, sd_bounds={(2, 2): Fraction(2), (1, 1, 3): Fraction(9, 2)}
+        )
+    )
+    theories.append(
+        TheoryConfig.build(d=2, p=3, n_max=4, uniform_sd_bound=Fraction(5, 2))
+    )
+    for theory in theories:
+        up_to = theory.n_max - 1
+        assert total_dimension_report(theory, up_to) == _per_subset_report(
+            theory, up_to
+        ), theory
+
+
+def test_dimension_report_skips_levels_below_the_strict_minimum():
+    # d = 2, p = 2: labels (0,0), (1,1), (2,2) carry sd 0, one index each
+    loose = TheoryConfig.build(d=2, p=2, n_max=3)
+    strict = TheoryConfig.build(d=2, p=2, n_max=3, strict_min_points=True)
+    assert total_dimension_report(loose, 2)[1] == 3
+    assert total_dimension_report(strict, 2)[1] == 0
+    assert total_dimension_report(strict, 2)[2] == total_dimension_report(loose, 2)[2]
+    assert realized_labels(strict, 1) == realized_labels(loose, 1)
 
 
 def test_dimension_report_monotone_in_bounds():

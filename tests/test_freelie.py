@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egdeform.freelie import (
-    InternalConsistencyError,
     LieElement,
     NotLieElementError,
     TruncationMismatchError,
@@ -227,6 +226,26 @@ def test_bch_realizes_the_product(seed):
     assert exp_series(x) * exp_series(y) == exp_series(bch(x, y))
 
 
+def _moebius(n: int) -> int:
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
 def test_graded_dimensions_frozen():
+    # one generator per weight: words of weight n number 2^(n-1), so
+    # L(n) = (1/n) sum_{k | n} mu(k) (2^(n/k) - 1)
+    moebius_counts = tuple(
+        sum(_moebius(k) * (2 ** (n // k) - 1) for k in range(1, n + 1) if n % k == 0) // n
+        for n in range(1, 11)
+    )
+    assert moebius_counts == (1, 1, 2, 3, 6, 9, 18, 30, 56, 99)
+    assert graded_dimensions(10) == moebius_counts
     assert graded_dimensions(6) == (1, 1, 2, 3, 6, 9)
     assert graded_dimensions(4) == (1, 1, 2, 3)

@@ -413,3 +413,14 @@ def test_dims_table_and_payload(tmp_path, capsys):
     assert set(payload["levels"]) == {"1", "2", "3"}
     for level in payload["levels"].values():
         assert level["codim_corrected"] <= level["paper_literal"]
+
+
+def test_dims_counts_nothing_below_the_strict_minimum(tmp_path):
+    cfg = tmp_path / "strict.ini"
+    cfg.write_text("[theory]\nd = 2\np = 2\nn_max = 3\nstrict_min_points = true\n")
+    out = tmp_path / "dims.json"
+    assert main(["dims", "--json", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    levels = json.loads(out.read_text())["levels"]
+    # the two-point labels stay listed but carry no admissible coordinates
+    assert levels["1"] == {"realized_labels": 3, "paper_literal": 0, "codim_corrected": 0}
+    assert levels["2"]["paper_literal"] > 0

@@ -1,5 +1,6 @@
 """Contraction combinatorics of normal-ordered products in the Gaussian model."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from egdeform.wick import (
     dyson_term,
     evaluate_kernel_exact,
     gaussian_moment,
+    pairable,
     rational_propagator,
     vacuum_moment,
     vacuum_moment_oracle,
@@ -64,6 +66,19 @@ def test_odd_total_legs_has_no_graphs():
 def test_single_point_legs_cannot_contract():
     # same-point pairings are excluded, so a lone :phi^2: has no vacuum graphs
     assert contraction_graphs((2,)) == ()
+
+
+def test_pairable_matches_multigraph_existence():
+    # the closed form against the uncached backtracking, on every vector of
+    # 1..5 points with entries 0..4
+    for n in range(1, 6):
+        for r in itertools.product(range(5), repeat=n):
+            assert pairable(r) == bool(contraction_graphs.__wrapped__(r)), r
+
+
+def test_contraction_graph_memo_is_bounded():
+    maxsize = contraction_graphs.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1024
 
 
 def test_two_point_multigraph_counts():
