@@ -260,8 +260,11 @@ def enumerate_pairings(legs: Sequence[tuple[int, int]]) -> list[PairingDiagram]:
     acc: list[tuple[int, int]] = []
 
     def rec(avail: tuple[int, ...]) -> None:
+        if len(avail) == 2:
+            out.append(PairingDiagram(legs, (*acc, avail)))
+            return
         if not avail:
-            out.append(PairingDiagram(legs, tuple(acc)))
+            out.append(PairingDiagram(legs, ()))
             return
         first = avail[0]
         rest = avail[1:]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Mapping, Sequence
 
 from egdeform.combinatorics import (
@@ -177,19 +177,23 @@ def contraction_graphs(residual_powers: tuple[int, ...]) -> tuple[ContractionGra
         return ()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     # after pair index idx, vertex v can still gain degree only if it appears
-    # in a later pair; precompute the last pair index touching each vertex
+    # in a later pair; closed[idx] lists the vertices whose last pair is
+    # idx - 1, the only ones whose leftover degree is final from idx on (the
+    # ones closed earlier were checked at an earlier index and are unchanged)
     last_touch = {v: -1 for v in range(1, n + 1)}
     for idx, (i, j) in enumerate(pairs):
         last_touch[i] = idx
         last_touch[j] = idx
+    closed: list[list[int]] = [[] for _ in range(len(pairs) + 1)]
+    for v, last in last_touch.items():
+        closed[last + 1].append(v - 1)
 
     out: list[ContractionGraph] = []
 
     def rec(idx: int, rem: tuple[int, ...], acc: EdgeMap) -> None:
-        if any(
-            rem[v - 1] and last_touch[v] < idx for v in range(1, n + 1)
-        ):
-            return
+        for v in closed[idx]:
+            if rem[v]:
+                return
         if idx == len(pairs):
             degrees = {v: r[v - 1] for v in range(1, n + 1)}
             out.append(ContractionGraph(n, acc, _matching_count(degrees, acc)))
@@ -289,20 +293,30 @@ def vacuum_moment_oracle(
     """Brute-force pairing sum: one term per leg pairing, same-point pairs give 0.
 
     This is the reference implementation everything else is tested against;
-    it does nothing clever on purpose.
+    it does nothing clever on purpose. Every nonzero term is a product of
+    exactly L/2 samples (L legs), so the samples are written over one common
+    denominator D and each term is an integer product; the sum is divided by
+    D^(L/2) once at the end. The value is the same exact Fraction.
     """
     legs = point_legs(residual_powers)
-    total = _ZERO
+    point = [p for p, _ in legs]
+    samples = {edge: Fraction(value) for edge, value in g.items()}
+    den = lcm(*(value.denominator for value in samples.values()))
+    num = {
+        edge: value.numerator * (den // value.denominator)
+        for edge, value in samples.items()
+    }
+    total = 0
     for diagram in enumerate_pairings(legs):
-        term = _ONE
+        term = 1
         for a, b in diagram.matches:
-            pa, pb = legs[a][0], legs[b][0]
+            pa, pb = point[a], point[b]
             if pa == pb:
-                term = _ZERO
+                term = 0
                 break
-            term *= _edge_value(g, pa, pb)
+            term *= num[(pa, pb) if pa < pb else (pb, pa)]
         total += term
-    return total
+    return Fraction(total, den ** (len(legs) // 2))
 
 
 def vacuum_moment(
