@@ -457,7 +457,7 @@ def parse_point(text: str, theory: TheoryConfig) -> DeformationPoint:
             members = [int(v) for v in item["I"]]
             alpha = MultiIndex(tuple(int(v) for v in item["alpha"]))
             coeff = Fraction(int(item["coeff_num"]), int(item["coeff_den"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed point entry: {item!r}") from exc
         key = CoordinateKey(
             label=label,

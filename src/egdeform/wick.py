@@ -6,14 +6,20 @@ functions vanish, and time ordering is symmetric (no step functions). The
 vacuum expectation of a product of normal-ordered powers is then a sum over
 complete leg pairings in which no pair joins two legs at the same point.
 
-Two evaluation paths exist on purpose:
+Three evaluations of the same pairing sum exist on purpose:
 
-* ``vacuum_moment_oracle`` enumerates raw leg pairings, one term per diagram;
+* ``vacuum_moment_oracle`` enumerates raw leg pairings, one term per diagram.
+  It does nothing clever and is the reference the tests compare against;
 * ``contraction_kernel`` / ``vacuum_moment`` group pairings by the contraction
   multigraph they induce and weight each multigraph by its leg-matching count
-  prod(r_i!) / prod(m_ij!) in closed form.
+  prod(r_i!) / prod(m_ij!) in closed form. This grouped path produces every
+  value the CLI prints;
+* ``pairing_moment`` recurses on the residual degree vector, pairing the
+  first open leg with every leg at another point. It shares nothing with the
+  grouped path and is polynomial in the powers, so ``wick --points`` uses it
+  as its independent cross-check.
 
-The fast path is tested against the oracle; keeping both is the point.
+The tests hold all three equal; keeping them apart is the point.
 
 Exact evaluation of kernels at a point configuration samples the propagator
 as the rational function g(x, y) = 1 / (1 + |x - y|^2). Any symmetric
@@ -317,6 +323,46 @@ def vacuum_moment_oracle(
             term *= num[(pa, pb) if pa < pb else (pb, pa)]
         total += term
     return Fraction(total, den ** (len(legs) // 2))
+
+
+def pairing_moment(
+    residual_powers: Sequence[int],
+    g: Mapping[Edge, Fraction],
+    memo: dict[tuple[int, ...], Fraction] | None = None,
+) -> Fraction:
+    """The same pairing sum by recursion on the residual degree vector.
+
+    The first open leg, at point i, pairs with each of the r_j legs at every
+    other point j:
+
+        moment(r) = sum_{j != i} r_j g_ij moment(r - e_i - e_j),  moment(0) = 1,
+
+    so the cost is at most prod(r_i + 1) states. It never builds a pairing or
+    a multigraph, which makes it an independent check of the grouped path.
+    Calls with the same ``g`` may share ``memo`` (the value per state); one
+    table then costs prod(k_i + 1) states in all.
+    """
+    r = tuple(int(p) for p in residual_powers)
+    if any(p < 0 for p in r):
+        raise ValueError("residual powers must be non-negative")
+    states = {} if memo is None else memo
+
+    def rec(rem: tuple[int, ...]) -> Fraction:
+        value = states.get(rem)
+        if value is not None:
+            return value
+        i = next((k for k, v in enumerate(rem) if v), None)
+        value = _ONE if i is None else _ZERO
+        for j, rj in enumerate(rem):
+            if j != i and rj:
+                nxt = list(rem)
+                nxt[i] -= 1
+                nxt[j] -= 1
+                value += rj * _edge_value(g, i + 1, j + 1) * rec(tuple(nxt))
+        states[rem] = value
+        return value
+
+    return rec(r)
 
 
 def vacuum_moment(

@@ -401,6 +401,11 @@ def test_parse_point_rejects_malformed_entries():
         parse_point('{"not": "a list"}', theory)
     with pytest.raises(ValueError):
         parse_point('[{"J": [2, 1]}]', theory)
+    zero_den = (
+        '[{"J": [2, 1], "I": [1, 2], "alpha": [0], "coeff_num": 1, "coeff_den": 0}]'
+    )
+    with pytest.raises(ValueError, match="malformed point entry.*coeff_den"):
+        parse_point(zero_den, theory)
 
 
 def test_parse_point_merges_duplicate_keys():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from egdeform import shell
+from egdeform import combinatorics, shell, wick
 from egdeform.distributions import (
     HomogeneousPower,
     LinearCombination,
@@ -267,12 +267,45 @@ def test_tampered_golden_exits_three(tmp_path, monkeypatch, capsys):
 
 
 def test_wick_oracle_mismatch_exits_three(monkeypatch, capsys):
-    monkeypatch.setattr(
-        shell, "vacuum_moment_oracle", lambda *a, **k: Fraction(999)
-    )
+    monkeypatch.setattr(shell, "pairing_moment", lambda *a, **k: Fraction(999))
     code = main(["wick", "2", "2", "--points", "0,0,0,0;1,0,0,0"])
     assert code == EXIT_MISMATCH
     assert "oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wick", "2", "2"], ["dims", "--json"], ["deform", "0"]],
+)
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    assert main(argv + ["--out", str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot write report" in err
+    assert str(target) in err
+    assert not target.exists()
+
+
+def test_zero_denominator_in_a_point_file_is_a_malformed_entry(tmp_path, capsys):
+    pt = tmp_path / "pt.json"
+    pt.write_text(LEVEL1_POINT.replace('"coeff_den": 1', '"coeff_den": 0'))
+    missing = tmp_path / "missing.json"
+    missing.write_text(LEVEL1_POINT.replace(', "coeff_den": 1', ""))
+    # the same exit code as an entry with a missing field
+    assert main(["deform", str(missing)]) == EXIT_INVARIANT
+    capsys.readouterr()
+    assert main(["deform", str(pt)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "malformed point entry" in err
+    assert "'coeff_den': 0" in err
+
+
+def test_zero_denominator_in_a_distribution_file_is_a_usage_error(tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    terms = [dict(DIST_FILE["terms"][0], coeff_den=0)]
+    dist.write_text(json.dumps(dict(DIST_FILE, terms=terms)))
+    assert main(["deform", "0", f"shift {dist}"]) == EXIT_USAGE
+    assert "malformed distribution file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +383,23 @@ def test_wick_table_cross_check(capsys):
     assert "G(1,2)" in text
 
 
+def test_wick_cross_check_never_enumerates_pairings(monkeypatch, capsys):
+    # 16 legs: the brute-force oracle would build 15!! diagrams per term
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI cross-check must not enumerate pairings")
+
+    for module, name in (
+        (combinatorics, "enumerate_pairings"),
+        (wick, "enumerate_pairings"),
+        (wick, "vacuum_moment_oracle"),
+        (shell, "vacuum_moment_oracle"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    points = "0,0,0,0;1,0,0,0;0,1,0,0;1/2,1/3,0,2"
+    assert main(["wick", "4", "4", "4", "4", "--points", points]) == EXIT_OK
+    assert "cross-check passed" in capsys.readouterr().out
+
+
 def test_wick_without_points_skips_cross_check(capsys):
     assert main(["wick", "2", "2"]) == EXIT_OK
     assert "cross-check skipped" in capsys.readouterr().out
@@ -413,6 +463,22 @@ def test_dims_table_and_payload(tmp_path, capsys):
     assert set(payload["levels"]) == {"1", "2", "3"}
     for level in payload["levels"].values():
         assert level["codim_corrected"] <= level["paper_literal"]
+
+
+def test_dims_literal_column_ignores_the_configured_policy(tmp_path):
+    cfg = tmp_path / "codim.ini"
+    cfg.write_text("[theory]\nbound_policy = codim-corrected\n")
+    default_out = tmp_path / "default.json"
+    codim_out = tmp_path / "codim.json"
+    assert main(["dims", "--json", "--out", str(default_out)]) == EXIT_OK
+    assert (
+        main(["dims", "--json", "--config", str(cfg), "--out", str(codim_out)])
+        == EXIT_OK
+    )
+    levels = json.loads(codim_out.read_text())["levels"]
+    assert levels == json.loads(default_out.read_text())["levels"]
+    assert (levels["1"]["paper_literal"], levels["1"]["codim_corrected"]) == (791, 86)
+    assert levels["2"]["paper_literal"] == 2458816
 
 
 def test_dims_counts_nothing_below_the_strict_minimum(tmp_path):

@@ -22,6 +22,7 @@ from egdeform.wick import (
     evaluate_kernel_exact,
     gaussian_moment,
     pairable,
+    pairing_moment,
     rational_propagator,
     vacuum_moment,
     vacuum_moment_oracle,
@@ -123,6 +124,35 @@ def test_vacuum_moment_fast_path_equals_oracle():
         r = tuple(rng.randint(0, 4) for _ in range(n))
         g = random_g(rng, n)
         assert vacuum_moment(r, g) == vacuum_moment_oracle(r, g)
+
+
+def test_pairing_moment_equals_oracle_on_small_vectors():
+    # every vector of 1..4 points with entries 0..4 and at most 10 legs (the
+    # oracle takes seconds per vector at 12 legs); a fresh g per vector, and
+    # one memo shared by all vectors of a length over a fixed g
+    rng = random.Random(2718)
+    for n in range(1, 5):
+        g_shared = random_g(rng, n)
+        memo: dict = {}
+        for r in itertools.product(range(5), repeat=n):
+            if sum(r) > 10:
+                continue
+            g = random_g(rng, n)
+            assert pairing_moment(r, g) == vacuum_moment_oracle(r, g), r
+            assert pairing_moment(r, g_shared, memo) == vacuum_moment_oracle(
+                r, g_shared
+            ), r
+
+
+def test_pairing_moment_trivial_odd_and_unpairable_vectors():
+    g = random_g(random.Random(5), 3)
+    assert pairing_moment((0, 0, 0), g) == 1
+    assert pairing_moment((), {}) == 1
+    assert pairing_moment((2, 1, 0), g) == 0  # odd total
+    assert pairing_moment((4, 1, 1), g) == 0  # 4 legs, only 2 elsewhere
+    assert pairing_moment((2,), {}) == 0  # same-point pairs only
+    with pytest.raises(ValueError):
+        pairing_moment((1, -1), g)
 
 
 # ---------------------------------------------------------------------------
