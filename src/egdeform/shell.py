@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -61,6 +62,7 @@ from egdeform.distributions import (
 )
 from egdeform.freelie import graded_dimensions
 from egdeform.group import (
+    MAX_CLAIM_POINTS,
     ClaimResult,
     apply_scaling,
     grading_automorphism,
@@ -233,6 +235,13 @@ def load_config(path: str | None) -> SessionConfig:
                         )
                     else:
                         updates[key] = int(value)
+                    if key == "n_points" and not 2 <= updates[key] <= MAX_CLAIM_POINTS:
+                        raise UsageError(
+                            f"{where}: {updates[key]} is outside 2..{MAX_CLAIM_POINTS}; "
+                            f"verify reads up to 3^n_points entries per lambda pair"
+                        )
+                    if key == "truncation" and updates[key] < 1:
+                        raise UsageError(f"{where}: {updates[key]} is below 1")
                 elif section == "wick":
                     updates[f"wick_{key}"] = int(value)
             except ValueError as exc:
@@ -588,19 +597,33 @@ def _load_distribution(spec: str) -> DiagonalDistribution:
     return DiagonalDistribution(terms)
 
 
-def _parse_theta_parameter(argmap: Mapping[str, str]):
-    """Return (q, z): 'q=RAT' exact; 'z=logRAT' exact q; 'z=FLOAT' float q."""
+def _parse_theta_parameter(argmap: Mapping[str, str]) -> Fraction | float:
+    """Return q: 'q=RAT' and 'z=logRAT' exact, 'z=FLOAT' the float e^z.
+
+    q = 0 is refused: theta_0 zeroes every coordinate and is no automorphism.
+    """
     if ("q" in argmap) == ("z" in argmap):
         raise UsageError("theta takes exactly one of q= and z=")
     if "q" in argmap:
-        return _parse_fraction(argmap["q"], "theta q"), None
-    zval = argmap["z"]
-    if zval.startswith("log"):
-        return _parse_fraction(zval[3:], "theta z=log"), None
-    try:
-        return None, float(zval)
-    except ValueError as exc:
-        raise UsageError(f"theta z: {zval!r} is not a number") from exc
+        where = f"theta q={argmap['q']}"
+        q = _parse_fraction(argmap["q"], "theta q")
+    else:
+        zval = argmap["z"]
+        where = f"theta z={zval}"
+        if zval.startswith("log"):
+            q = _parse_fraction(zval[3:], "theta z=log")
+        else:
+            try:
+                q = math.exp(float(zval))
+            except ValueError as exc:
+                raise UsageError(f"theta z: {zval!r} is not a number") from exc
+            except OverflowError as exc:
+                raise UsageError(f"{where}: e^z overflows a float") from exc
+            if not math.isfinite(q):
+                raise UsageError(f"{where}: e^z is not a finite number")
+    if not q:
+        raise UsageError(f"{where}: q is 0, and theta_0 is not an automorphism")
+    return q
 
 
 def _apply_action(point: DeformationPoint, action: str) -> DeformationPoint:
@@ -649,8 +672,11 @@ def _apply_action(point: DeformationPoint, action: str) -> DeformationPoint:
                     next(iter(point.entries)),
                     f"theta level={level} asserted, point has levels {actual}",
                 )
-        q, z = _parse_theta_parameter(argmap)
-        return grading_automorphism(point, q=q, z=z)
+        q = _parse_theta_parameter(argmap)
+        try:
+            return grading_automorphism(point, q=q)
+        except OverflowError as exc:
+            raise UsageError(f"{action!r}: q^level overflows a float") from exc
     if verb == "grade":
         require_keys(set())
         if positional:

@@ -482,10 +482,11 @@ def check_causal_factorization(
     The factored side expands each group into its partial contractions
     (multigraphs within the group, counted with the choose-and-match factor
     prod k_i! / ((k_i - deg_i)! ) / prod m_e!) and pairs the leftover legs
-    across the two groups with complete bipartite matchings. The direct side
-    is the all-multigraph vacuum sum. In this Gaussian Euclidean model the two
-    agree identically, so the check validates the implementation rather than
-    the model.
+    across the two groups: that sum is ``pairing_moment`` on the joined
+    leftover vector with the propagator set to 0 inside each group, sharing
+    one memo over the whole check. The direct side is the all-multigraph
+    vacuum sum. In this Gaussian Euclidean model the two agree identically, so
+    the check validates the implementation rather than the model.
     """
     k = tuple(powers)
     n = len(k)
@@ -496,6 +497,11 @@ def check_causal_factorization(
     g = propagator(config)
     left = group.members
     right = group.complement().members
+    g_cross = {
+        (i, j): value if (i in group) != (j in group) else _ZERO
+        for (i, j), value in g.items()
+    }
+    memo: dict[tuple[int, ...], Fraction] = {}
 
     right_partials = [
         (graph, _partial_value(k, graph, g), _residual_after(k, right, graph))
@@ -509,7 +515,10 @@ def check_causal_factorization(
         for _, val_r, rem_r in right_partials:
             if open_l != sum(rem_r.values()):
                 continue
-            cross = _bipartite_moment(rem_l, rem_r, g)
+            joined = rem_l | rem_r
+            cross = pairing_moment(
+                tuple(joined[p] for p in range(1, n + 1)), g_cross, memo
+            )
             if cross:
                 lhs += val_l * val_r * cross
     return lhs == vacuum_moment(k, g)
@@ -569,55 +578,6 @@ def _partial_value(
         count /= factorial(m)
         value *= _edge_value(g, i, j) ** m
     return count * value
-
-
-def _bipartite_moment(
-    rem_l: Mapping[int, int], rem_r: Mapping[int, int], g: Mapping[Edge, Fraction]
-) -> Fraction:
-    """Sum over complete cross-matchings of the leftover legs, grouped by
-    bipartite multigraph with count prod(r!) / prod(b!)."""
-    left = [(p, r) for p, r in sorted(rem_l.items()) if r]
-    right = [(p, r) for p, r in sorted(rem_r.items()) if r]
-    total_l = sum(r for _, r in left)
-    if total_l != sum(r for _, r in right):
-        return _ZERO
-    if total_l == 0:
-        return _ONE
-
-    count0 = Fraction(1)
-    for _, r in left + right:
-        count0 *= factorial(r)
-
-    pairs = [(i, j) for i, _ in left for j, _ in right]
-    rem = {p: r for p, r in left + right}
-    total = _ZERO
-    acc_edges: list[tuple[Edge, int]] = []
-
-    def rec(idx: int) -> None:
-        nonlocal total
-        if idx == len(pairs):
-            if all(v == 0 for v in rem.values()):
-                term = count0
-                for (i, j), m in acc_edges:
-                    term /= factorial(m)
-                    term *= _edge_value(g, i, j) ** m
-                total += term
-            return
-        i, j = pairs[idx]
-        cap = min(rem[i], rem[j])
-        for m in range(cap + 1):
-            rem[i] -= m
-            rem[j] -= m
-            if m:
-                acc_edges.append(((i, j) if i < j else (j, i), m))
-            rec(idx + 1)
-            if m:
-                acc_edges.pop()
-            rem[i] += m
-            rem[j] += m
-
-    rec(0)
-    return total
 
 
 def check_translation_invariance(

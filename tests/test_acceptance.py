@@ -16,6 +16,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from dense_lattice import (
+    ScalingOperator,
+    identity_matrix,
+    matrix_product,
+    subset_moebius_matrix,
+)
 from egdeform.combinatorics import (
     MultiIndex,
     SubsetMask,
@@ -57,15 +63,11 @@ from egdeform.group import (
     CLASS_GT,
     CLASS_LT,
     GroupElement,
-    ScalingOperator,
     apply_scaling,
     exp_truncated,
     generator_vector_field,
     grading_automorphism,
     grading_scale,
-    identity_matrix,
-    matrix_product,
-    subset_moebius_matrix,
 )
 from egdeform.shell import SessionConfig, golden_view, run_all_claims
 from egdeform.wick import (

@@ -2,11 +2,22 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_lattice import (
+    ScalingOperator,
+    apply_scaling_operator,
+    dense_composition_witness,
+    dense_lattice_claims,
+    identity_matrix,
+    matrix_product,
+    subset_moebius_matrix,
+    subset_zeta_matrix,
+)
 from egdeform.combinatorics import MultiIndex, SubsetMask
 from egdeform.deformation import CoordinateKey, DeformationPoint, TheoryConfig
 from egdeform.distributions import DiagonalDistribution, DiagonalTerm
@@ -17,24 +28,21 @@ from egdeform.group import (
     CLASS_LT,
     FAILS,
     HOLDS,
+    MAX_CLAIM_POINTS,
     GroupElement,
-    ScalingOperator,
+    _composition_witness,
+    _lattice_claims,
     apply_scaling,
-    apply_scaling_operator,
     exp_truncated,
     generator_vector_field,
     grading_automorphism,
     grading_operator,
     grading_scale,
-    identity_matrix,
     label_class,
     log_truncated,
-    matrix_product,
     scaling_coefficient,
     semidirect_inverse,
     semidirect_mul,
-    subset_moebius_matrix,
-    subset_zeta_matrix,
     verify_claims,
 )
 
@@ -432,6 +440,41 @@ def test_inverse_formula():
 # ---------------------------------------------------------------------------
 # Claim verification
 # ---------------------------------------------------------------------------
+
+
+# 0, 1, -1 and -2 make lambda or 1 + lambda equal to 0 or +-1, where entries
+# of different sizes can coincide.
+LATTICE_LAMBDAS = tuple(
+    Fraction(x)
+    for x in "0 1 -1 -2 2 1/2 -1/2 3 1/3 5/7 -3/4 7/5 -5".split()
+)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lattice_claims_match_the_dense_reference(n):
+    note = f"n={n}"
+    assert _lattice_claims(n, LATTICE_LAMBDAS, note) == dense_lattice_claims(
+        n, LATTICE_LAMBDAS, note
+    )
+    for lam in LATTICE_LAMBDAS:
+        assert _lattice_claims(n, (lam,), note) == dense_lattice_claims(
+            n, (lam,), note
+        )
+
+
+@pytest.mark.parametrize("cls", (CLASS_GT, CLASS_EQ))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_composition_witness_matches_the_dense_product(n, cls):
+    for lam, mu in permutations(LATTICE_LAMBDAS, 2):
+        assert _composition_witness(n, cls, lam, mu) == dense_composition_witness(
+            n, cls, lam, mu
+        ), (lam, mu)
+
+
+def test_verify_claims_refuses_point_counts_outside_the_cap():
+    for n_points in (-1, 0, 1, MAX_CLAIM_POINTS + 1):
+        with pytest.raises(ValueError, match="n_points"):
+            verify_claims(n_points=n_points)
 
 
 def test_verify_claims_frozen_verdicts():

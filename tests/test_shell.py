@@ -258,6 +258,53 @@ def test_theta_level_assertion_exits_two(tmp_path, capsys):
     assert "level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "action, fragment",
+    [
+        ("theta q=0", "theta q=0: q is 0"),
+        ("theta z=log0", "theta z=log0: q is 0"),
+        ("theta z=-1e10", "theta z=-1e10: q is 0"),
+        ("theta z=1e10", "theta z=1e10: e^z overflows"),
+        ("theta z=inf", "theta z=inf: e^z is not a finite number"),
+        ("theta z=nan", "theta z=nan: e^z is not a finite number"),
+    ],
+)
+def test_theta_without_an_invertible_q_is_a_usage_error(
+    tmp_path, capsys, action, fragment
+):
+    pt = tmp_path / "pt.json"
+    pt.write_text(LEVEL1_POINT)
+    assert main(["deform", str(pt), action]) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
+
+
+def test_theta_overflowing_at_the_point_level_is_a_usage_error(tmp_path, capsys):
+    pt = tmp_path / "pt.json"
+    pt.write_text(LEVEL2_POINT)
+    assert main(["deform", str(pt), "theta z=700"]) == EXIT_USAGE
+    assert "'theta z=700': q^level overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, body, fragment",
+    [
+        ("verify", "n_points = 1", "[group] n_points: 1 is outside 2..8"),
+        ("verify", "n_points = 0", "[group] n_points: 0 is outside 2..8"),
+        ("verify", "n_points = -1", "[group] n_points: -1 is outside 2..8"),
+        ("dims", "n_points = 9", "[group] n_points: 9 is outside 2..8"),
+        ("verify", "truncation = 0", "[group] truncation: 0 is below 1"),
+        ("dims", "truncation = 0", "[group] truncation: 0 is below 1"),
+    ],
+)
+def test_group_inputs_out_of_range_are_usage_errors(
+    tmp_path, capsys, verb, body, fragment
+):
+    cfg = tmp_path / "group.ini"
+    cfg.write_text(f"[group]\n{body}\n")
+    assert main([verb, "--config", str(cfg)]) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
+
+
 def test_tampered_golden_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(shell, "load_golden", lambda: [])
     out = tmp_path / "verify.txt"
